@@ -203,13 +203,11 @@ mod tests {
 
     #[test]
     fn real_operators_label_their_regions() {
-        use graphgen_reldb::{exec, RowSet, Value};
-        let rows = RowSet::from_rows(
-            2,
-            (0..4000i64).map(|i| vec![Value::int(i % 97), Value::int(i)]),
-        );
+        use graphgen_reldb::{exec, RowSet};
+        // Id rows, as chain queries run them: key ids 1..=97, payload ids.
+        let rows = RowSet::from_rows(2, (0..4000u32).map(|i| [i % 97 + 1, i]));
         let (_, deltas) = measure_regions(|| {
-            let joined = exec::hash_join(&rows, 0, &rows, 0, 2);
+            let joined = exec::hash_join_project(&rows, 0, &rows, 0, &[0, 1, 2, 3], 2);
             exec::distinct_rows(joined, 2)
         });
         let by_region = |r: Region| deltas.iter().find(|d| d.region == r).unwrap().bytes;

@@ -12,7 +12,7 @@ use graphgen_dsl::{
     check_program, parse, CheckOptions, CheckReport, GraphSpec, NodesView, Severity,
 };
 use graphgen_graph::{CondensedBuilder, ExpandedGraph, PropValue, Properties, RealId, VirtId};
-use graphgen_reldb::{exec::scan_project, Database, Delta, DeltaOp, Value};
+use graphgen_reldb::{exec::scan_project, Database, Delta, DeltaOp, Value, Vid, NULL_VID};
 use std::time::Instant;
 
 /// Extraction configuration. Construct via [`GraphGenConfig::builder`]:
@@ -368,20 +368,21 @@ impl<'a> GraphGen<'a> {
     fn load_nodes(&self, views: &[NodesView]) -> Result<(IdMap<Value>, Properties), Error> {
         let mut ids: IdMap<Value> = IdMap::new();
         let mut props = Properties::new(0);
+        let dict = self.db.dict();
+        let value = |vid: Vid| dict.resolve(vid).expect("scanned cell is interned");
         for view in views {
             let table = self.db.table(&view.relation)?;
             let mut cols = vec![view.id_col];
             cols.extend(view.prop_cols.iter().map(|(_, c)| *c));
             let pred = filters_to_predicate(&view.filters);
-            for row in scan_project(table, &pred, &cols, self.cfg.threads).iter() {
-                let key = row[0].clone();
-                if key.is_null() {
+            for row in scan_project(table, &pred, &cols, self.cfg.threads, dict).iter() {
+                if row[0] == NULL_VID {
                     continue;
                 }
-                let u = ids.intern(key);
+                let u = ids.intern(value(row[0]).clone());
                 props.grow(ids.len());
-                for ((name, _), value) in view.prop_cols.iter().zip(&row[1..]) {
-                    let pv = match value {
+                for ((name, _), &vid) in view.prop_cols.iter().zip(&row[1..]) {
+                    let pv = match value(vid) {
                         Value::Int(v) => PropValue::Int(*v),
                         Value::Str(s) => PropValue::Text(s.to_string()),
                         Value::Null => continue,

@@ -156,6 +156,32 @@ mod tests {
     }
 
     #[test]
+    fn roundtrip_random_strings() {
+        // Fields of 0..=8 characters drawn from `[a-z," ]`: commas, quotes
+        // and the empty string all exercise quoting.
+        const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz,\" ";
+        let mut rng = graphgen_common::SplitMix64::new(0xC5F);
+        let names: Vec<String> = (0..200)
+            .map(|_| {
+                let len = rng.next_below(9) as usize;
+                (0..len)
+                    .map(|_| ALPHABET[rng.next_below(ALPHABET.len() as u64) as usize] as char)
+                    .collect()
+            })
+            .collect();
+        let schema = || Schema::new(vec![Column::str("name")]);
+        let mut t = Table::new(schema());
+        for n in &names {
+            t.push_row(vec![Value::str(n.as_str())]).unwrap();
+        }
+        let back = parse_csv(&to_csv(&t), schema()).unwrap();
+        assert_eq!(back.num_rows(), names.len());
+        for (r, n) in names.iter().enumerate() {
+            assert_eq!(back.cell(r, 0).as_str(), Some(n.as_str()), "row {r}");
+        }
+    }
+
+    #[test]
     fn unterminated_quote_rejected() {
         assert!(parse_csv("1,\"oops\n", schema()).is_err());
     }

@@ -6,17 +6,21 @@
 //!
 //! # Operator contract
 //!
-//! Every operator consumes and produces [`RowSet`]s — flat value arenas with
-//! index-addressed rows — instead of `Vec<Vec<Value>>`, so no operator
-//! allocates per row and none deep-clones values it does not emit:
+//! Every operator consumes and produces [`RowSet`]s — flat arenas of
+//! dictionary ids ([`Vid`]s) with index-addressed rows:
 //!
 //! * [`scan_project`] evaluates the predicate against the table columns in
-//!   place and clones only the projected columns of passing rows;
-//! * [`hash_join`] / [`hash_join_project`] build a pointer-based index
-//!   (`&Value` keys, row indices as payload) on the **smaller** input and
-//!   emit only the requested output columns;
-//! * [`distinct_rows`] keeps a hash-of-row index into its own output, so
-//!   each surviving row is stored exactly once.
+//!   place and resolves only the projected cells of passing rows to their
+//!   ids, once, through the database dictionary;
+//! * [`hash_join_project`] builds a `Vid`-keyed index (row indices as
+//!   payload) on the **smaller** input and emits only the requested output
+//!   columns;
+//! * [`distinct_rows`] keeps the first occurrence of every id row.
+//!
+//! After the scan, every hash, partition and equality test is on `u32`s:
+//! two cells are equal exactly when their values are, and NULL is
+//! [`NULL_VID`]. Values are built again only at the query's output
+//! ([`crate::query::Query::run_threaded`]).
 //!
 //! # Parallelism and determinism
 //!
@@ -32,16 +36,15 @@
 
 use crate::expr::Predicate;
 use crate::intern::{Interner, Vid, NULL_VID};
-use crate::rowset::{hash_row, hash_value, RowSet};
+use crate::rowset::RowSet;
 use crate::table::Table;
-use crate::value::Value;
 use graphgen_common::metrics;
 use graphgen_common::parallel::{
     effective_threads, map_morsels, map_partitions, scatter_partitions,
 };
 use graphgen_common::region::Region;
-use graphgen_common::{FxHashMap, FxHasher};
-use std::hash::Hasher;
+use graphgen_common::{FxBuildHasher, FxHashMap, FxHashSet};
+use std::hash::BuildHasher;
 
 // Every operator opens a metrics span at entry: it enters an allocation
 // region (`graphgen_common::region`) so the counting allocator in
@@ -68,10 +71,18 @@ fn merge(arity: usize, parts: Vec<RowSet>) -> RowSet {
 }
 
 /// Scan `table`, keep rows satisfying `pred`, and project the columns in
-/// `cols` (by index, in output order). The predicate is evaluated against
-/// the table's columns directly; only the projected columns of passing rows
-/// are cloned. Morsel-parallel over `threads`, output in table row order.
-pub fn scan_project(table: &Table, pred: &Predicate, cols: &[usize], threads: usize) -> RowSet {
+/// `cols` (by index, in output order) as ids of `dict`, which must be the
+/// dictionary of the database `table` is registered in. The predicate is
+/// evaluated against the table's columns directly; only the projected cells
+/// of passing rows are looked up. Morsel-parallel over `threads`, output in
+/// table row order.
+pub fn scan_project(
+    table: &Table,
+    pred: &Predicate,
+    cols: &[usize],
+    threads: usize,
+    dict: &Interner,
+) -> RowSet {
     let _span = metrics::span("scan", Region::Scan);
     // Morsels split the physical row space; tombstoned rows are skipped so
     // the output is the live rows in physical (= insertion) order.
@@ -81,7 +92,10 @@ pub fn scan_project(table: &Table, pred: &Predicate, cols: &[usize], threads: us
         let mut out = RowSet::new(cols.len());
         for r in range {
             if table.is_live(r) && pred.eval_at(table, r) {
-                out.push_row(cols.iter().map(|&c| table.cell(r, c).clone()));
+                out.push_row(cols.iter().map(|&c| {
+                    dict.lookup(table.cell(r, c))
+                        .expect("live cell is interned")
+                }));
             }
         }
         out
@@ -90,37 +104,25 @@ pub fn scan_project(table: &Table, pred: &Predicate, cols: &[usize], threads: us
 }
 
 /// A hash-partitioned join index over one side's key column: partition `p`
-/// owns the keys with `hash_value(key) % parts == p`. Per-key row-index
-/// lists are ascending because every partition scans the build side in row
-/// order.
-type JoinIndex<'a> = Vec<FxHashMap<&'a Value, Vec<u32>>>;
+/// owns the keys with `key % parts == p`. Per-key row-index lists are
+/// ascending because every partition scans the build side in row order.
+type JoinIndex = Vec<FxHashMap<Vid, Vec<u32>>>;
 
-fn build_index(build: &RowSet, key: usize, parts: usize) -> JoinIndex<'_> {
+fn build_index(build: &RowSet, key: usize, parts: usize) -> JoinIndex {
     let _span = metrics::span("join", Region::Build);
     assert!(build.num_rows() <= MAX_ROWS, "row set too large");
-    if parts <= 1 {
-        let mut index: FxHashMap<&Value, Vec<u32>> = FxHashMap::default();
-        for (i, row) in build.iter().enumerate() {
-            let k = &row[key];
-            if !k.is_null() {
-                index.entry(k).or_default().push(i as u32);
-            }
-        }
-        return vec![index];
-    }
-    // Hash every key exactly once, scattering row indices into per-morsel
-    // partition buckets; each partition thread then touches only its own
-    // rows, and scatter order keeps per-key index lists ascending.
+    // Scatter row indices into per-morsel partition buckets; each partition
+    // thread then touches only its own rows, and scatter order keeps
+    // per-key index lists ascending.
     let buckets = scatter_partitions(build.num_rows(), parts, |r| {
-        let h = hash_value(&build.row(r)[key]);
-        ((h as usize) % parts, r as u32)
+        ((build.row(r)[key] as usize) % parts, r as u32)
     });
     map_partitions(parts, |p| {
-        let mut index: FxHashMap<&Value, Vec<u32>> = FxHashMap::default();
+        let mut index: FxHashMap<Vid, Vec<u32>> = FxHashMap::default();
         for morsel in &buckets {
             for &i in &morsel[p] {
-                let k = &build.row(i as usize)[key];
-                if !k.is_null() {
+                let k = build.row(i as usize)[key];
+                if k != NULL_VID {
                     index.entry(k).or_default().push(i);
                 }
             }
@@ -129,36 +131,19 @@ fn build_index(build: &RowSet, key: usize, parts: usize) -> JoinIndex<'_> {
     })
 }
 
-fn index_lookup<'a, 'b>(index: &'b JoinIndex<'a>, key: &Value) -> Option<&'b [u32]> {
-    let part = if index.len() > 1 {
-        (hash_value(key) as usize) % index.len()
-    } else {
-        0
-    };
-    index[part].get(key).map(Vec::as_slice)
+fn index_lookup(index: &JoinIndex, key: Vid) -> Option<&[u32]> {
+    index[(key as usize) % index.len()]
+        .get(&key)
+        .map(Vec::as_slice)
 }
 
-/// Hash equi-join: join `left` and `right` row sets on
-/// `left[lkey] == right[rkey]`, emitting `left ++ right` rows.
+/// Hash equi-join of `left` and `right` on `left[lkey] == right[rkey]`,
+/// fused with a projection: `cols` indexes into the virtual concatenated
+/// row `left ++ right`, and only those columns are ever materialized.
 ///
 /// Rows with NULL join keys never match (SQL semantics). Output order is the
 /// nested-loop order (left rows outer, matching right rows in row order)
 /// regardless of `threads` or which side the hash table is built on.
-pub fn hash_join(
-    left: &RowSet,
-    lkey: usize,
-    right: &RowSet,
-    rkey: usize,
-    threads: usize,
-) -> RowSet {
-    let cols: Vec<usize> = (0..left.arity() + right.arity()).collect();
-    hash_join_project(left, lkey, right, rkey, &cols, threads)
-}
-
-/// [`hash_join`] fused with a projection: `cols` indexes into the virtual
-/// concatenated row `left ++ right`, and only those columns are ever
-/// materialized. This is what chain queries use to avoid paying for join
-/// columns they immediately discard.
 ///
 /// The hash table is built on the smaller input (ties build on `right`);
 /// when the build side is `left`, matches are collected as index pairs and
@@ -182,11 +167,10 @@ pub fn hash_join_project(
             let mut out = RowSet::new(cols.len());
             for l in range {
                 let lrow = left.row(l);
-                let k = &lrow[lkey];
-                if k.is_null() {
+                if lrow[lkey] == NULL_VID {
                     continue;
                 }
-                if let Some(matches) = index_lookup(&index, k) {
+                if let Some(matches) = index_lookup(&index, lrow[lkey]) {
                     for &r in matches {
                         push_joined(&mut out, lrow, right.row(r as usize), cols);
                     }
@@ -204,8 +188,8 @@ pub fn hash_join_project(
         let pairs: Vec<(u32, u32)> = map_morsels(right.num_rows(), t, |range| {
             let mut local = Vec::new();
             for r in range {
-                let k = &right.row(r)[rkey];
-                if k.is_null() {
+                let k = right.row(r)[rkey];
+                if k == NULL_VID {
                     continue;
                 }
                 if let Some(matches) = index_lookup(&index, k) {
@@ -235,251 +219,6 @@ pub fn hash_join_project(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Interned operators
-// ---------------------------------------------------------------------------
-//
-// When the caller owns the database dictionary (chain queries always do —
-// every row they touch is derived from base tables), the join/DISTINCT key
-// space can be resolved to dense `Vid`s once per row up front. After that
-// resolution, partitioning, probing, and equality are all `u32` operations:
-// no second value hash on the map lookup, no deep string comparison on
-// collision chains, and the index itself stores machine words instead of
-// `&Value` keys. If any key turns out not to be interned (a synthetic row
-// set built outside the database), the operators fall back to the
-// value-keyed path — semantics are identical either way.
-
-/// Hash a row of dictionary ids (DISTINCT bookkeeping key).
-fn hash_vid_row(vids: &[Vid]) -> u64 {
-    let mut h = FxHasher::default();
-    for &v in vids {
-        h.write_u32(v);
-    }
-    h.finish()
-}
-
-/// Resolve column `key` of every row to its dictionary id, morsel-parallel.
-/// Returns `None` if any key value is not interned.
-fn resolve_key_vids(
-    rows: &RowSet,
-    key: usize,
-    dict: &Interner,
-    threads: usize,
-) -> Option<Vec<Vid>> {
-    let n = rows.num_rows();
-    let t = effective_threads(threads, n);
-    let parts: Vec<Option<Vec<Vid>>> = map_morsels(n, t, |range| {
-        range.map(|r| dict.lookup(&rows.row(r)[key])).collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    for part in parts {
-        out.extend(part?);
-    }
-    Some(out)
-}
-
-/// Resolve every cell of every row, row-major (`arity * num_rows` ids).
-fn resolve_row_vids(rows: &RowSet, dict: &Interner, threads: usize) -> Option<Vec<Vid>> {
-    let n = rows.num_rows();
-    let arity = rows.arity();
-    let t = effective_threads(threads, n);
-    let parts: Vec<Option<Vec<Vid>>> = map_morsels(n, t, |range| {
-        let mut out = Vec::with_capacity(range.len() * arity);
-        for r in range {
-            for v in rows.row(r) {
-                out.push(dict.lookup(v)?);
-            }
-        }
-        Some(out)
-    });
-    let mut out = Vec::with_capacity(n * arity);
-    for part in parts {
-        out.extend(part?);
-    }
-    Some(out)
-}
-
-/// Hash-partitioned join index over dictionary ids: partition `p` owns the
-/// keys with `vid % parts == p`. Per-key row-index lists are ascending.
-type VidIndex = Vec<FxHashMap<Vid, Vec<u32>>>;
-
-fn build_vid_index(keys: &[Vid], parts: usize) -> VidIndex {
-    let _span = metrics::span("join", Region::Build);
-    assert!(keys.len() <= MAX_ROWS, "row set too large");
-    if parts <= 1 {
-        let mut index: FxHashMap<Vid, Vec<u32>> = FxHashMap::default();
-        for (i, &k) in keys.iter().enumerate() {
-            if k != NULL_VID {
-                index.entry(k).or_default().push(i as u32);
-            }
-        }
-        return vec![index];
-    }
-    let buckets = scatter_partitions(keys.len(), parts, |r| {
-        ((keys[r] as usize) % parts, r as u32)
-    });
-    map_partitions(parts, |p| {
-        let mut index: FxHashMap<Vid, Vec<u32>> = FxHashMap::default();
-        for morsel in &buckets {
-            for &i in &morsel[p] {
-                let k = keys[i as usize];
-                if k != NULL_VID {
-                    index.entry(k).or_default().push(i);
-                }
-            }
-        }
-        index
-    })
-}
-
-fn vid_index_lookup(index: &VidIndex, vid: Vid) -> Option<&[u32]> {
-    let part = if index.len() > 1 {
-        (vid as usize) % index.len()
-    } else {
-        0
-    };
-    index[part].get(&vid).map(Vec::as_slice)
-}
-
-/// [`hash_join_project`] probing dictionary ids instead of owned values.
-/// Output is byte-identical to the value-keyed operator; `dict` must be the
-/// dictionary of the database both row sets were derived from.
-pub fn hash_join_project_interned(
-    left: &RowSet,
-    lkey: usize,
-    right: &RowSet,
-    rkey: usize,
-    cols: &[usize],
-    threads: usize,
-    dict: &Interner,
-) -> RowSet {
-    let (Some(lk), Some(rk)) = (
-        resolve_key_vids(left, lkey, dict, threads),
-        resolve_key_vids(right, rkey, dict, threads),
-    ) else {
-        // Some key is not interned: this row set did not come from the
-        // database's tables. Fall back to the value-keyed operator.
-        return hash_join_project(left, lkey, right, rkey, cols, threads);
-    };
-    let t = effective_threads(threads, left.num_rows().max(right.num_rows()));
-    if right.num_rows() <= left.num_rows() {
-        let index = build_vid_index(&rk, effective_threads(threads, right.num_rows()));
-        let _span = metrics::span("join", Region::Probe);
-        let parts = map_morsels(left.num_rows(), t, |range| {
-            let mut out = RowSet::new(cols.len());
-            for l in range {
-                let k = lk[l];
-                if k == NULL_VID {
-                    continue;
-                }
-                if let Some(matches) = vid_index_lookup(&index, k) {
-                    let lrow = left.row(l);
-                    for &r in matches {
-                        push_joined(&mut out, lrow, right.row(r as usize), cols);
-                    }
-                }
-            }
-            out
-        });
-        merge(cols.len(), parts)
-    } else {
-        assert!(right.num_rows() <= MAX_ROWS, "row set too large");
-        let index = build_vid_index(&lk, effective_threads(threads, left.num_rows()));
-        let _span = metrics::span("join", Region::Probe);
-        let pairs: Vec<(u32, u32)> = map_morsels(right.num_rows(), t, |range| {
-            let mut local = Vec::new();
-            for r in range {
-                let k = rk[r];
-                if k == NULL_VID {
-                    continue;
-                }
-                if let Some(matches) = vid_index_lookup(&index, k) {
-                    local.extend(matches.iter().map(|&l| (l, r as u32)));
-                }
-            }
-            local
-        })
-        .concat();
-        let pairs = counting_sort_by_left(pairs, left.num_rows());
-        let parts = map_morsels(
-            pairs.len(),
-            effective_threads(threads, pairs.len()),
-            |range| {
-                let mut out = RowSet::with_row_capacity(cols.len(), range.len());
-                for &(l, r) in &pairs[range] {
-                    push_joined(&mut out, left.row(l as usize), right.row(r as usize), cols);
-                }
-                out
-            },
-        );
-        merge(cols.len(), parts)
-    }
-}
-
-/// [`distinct_rows`] deduplicating through dictionary-id tuples: one value
-/// lookup per cell up front, then all hashing and equality is on `u32`
-/// rows. Byte-identical output (first-occurrence order preserved).
-pub fn distinct_rows_interned(rows: RowSet, threads: usize, dict: &Interner) -> RowSet {
-    let _span = metrics::span("distinct", Region::Distinct);
-    let n = rows.num_rows();
-    assert!(n <= MAX_ROWS, "row set too large");
-    let arity = rows.arity();
-    let t = effective_threads(threads, n);
-    let Some(vids) = resolve_row_vids(&rows, dict, threads) else {
-        return distinct_rows(rows, threads);
-    };
-    let key = |r: usize| &vids[r * arity..(r + 1) * arity];
-    let kept: Vec<u32> = if t <= 1 {
-        let mut seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        let mut kept = Vec::new();
-        for r in 0..n {
-            let candidates = seen.entry(hash_vid_row(key(r))).or_default();
-            if candidates.iter().all(|&c| key(c as usize) != key(r)) {
-                candidates.push(r as u32);
-                kept.push(r as u32);
-            }
-        }
-        kept
-    } else {
-        let buckets = scatter_partitions(n, t, |r| {
-            let h = hash_vid_row(key(r));
-            ((h as usize) % t, (r as u32, h))
-        });
-        let kept: Vec<Vec<u32>> = map_partitions(t, |p| {
-            let mut seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-            let mut kept = Vec::new();
-            for morsel in &buckets {
-                for &(r, h) in &morsel[p] {
-                    let candidates = seen.entry(h).or_default();
-                    if candidates
-                        .iter()
-                        .all(|&c| key(c as usize) != key(r as usize))
-                    {
-                        candidates.push(r);
-                        kept.push(r);
-                    }
-                }
-            }
-            kept
-        });
-        let mut kept = kept.concat();
-        kept.sort_unstable();
-        kept
-    };
-    let parts = map_morsels(
-        kept.len(),
-        effective_threads(threads, kept.len()),
-        |range| {
-            let mut out = RowSet::with_row_capacity(arity, range.len());
-            for &r in &kept[range] {
-                out.push_row_from(rows.row(r as usize));
-            }
-            out
-        },
-    );
-    merge(arity, parts)
-}
-
 /// Stable counting sort of match pairs by their left row index. Input pairs
 /// arrive sorted by the right index (probe morsel order), so stability
 /// yields full `(l, r)` lexicographic order — the nested-loop emission
@@ -501,27 +240,28 @@ fn counting_sort_by_left(pairs: Vec<(u32, u32)>, left_rows: usize) -> Vec<(u32, 
     sorted
 }
 
-fn push_joined(out: &mut RowSet, lrow: &[Value], rrow: &[Value], cols: &[usize]) {
+fn push_joined(out: &mut RowSet, lrow: &[Vid], rrow: &[Vid], cols: &[usize]) {
     out.push_row(cols.iter().map(|&c| {
         if c < lrow.len() {
-            lrow[c].clone()
+            lrow[c]
         } else {
-            rrow[c - lrow.len()].clone()
+            rrow[c - lrow.len()]
         }
     }));
 }
 
-/// Reference nested-loop join with identical semantics to [`hash_join`];
-/// used as the correctness oracle in tests. Serial by construction.
+/// Reference nested-loop join emitting whole `left ++ right` rows, with
+/// the semantics of [`hash_join_project`]; the correctness oracle in tests.
+/// Serial by construction.
 pub fn nested_loop_join(left: &RowSet, lkey: usize, right: &RowSet, rkey: usize) -> RowSet {
     let mut out = RowSet::new(left.arity() + right.arity());
     let cols: Vec<usize> = (0..left.arity() + right.arity()).collect();
     for lrow in left.iter() {
-        if lrow[lkey].is_null() {
+        if lrow[lkey] == NULL_VID {
             continue;
         }
         for rrow in right.iter() {
-            if !rrow[rkey].is_null() && lrow[lkey] == rrow[rkey] {
+            if lrow[lkey] == rrow[rkey] {
                 push_joined(&mut out, lrow, rrow, &cols);
             }
         }
@@ -531,47 +271,40 @@ pub fn nested_loop_join(left: &RowSet, lkey: usize, right: &RowSet, rkey: usize)
 
 /// Remove duplicate rows, preserving first-occurrence order (`DISTINCT`).
 ///
-/// Rows are deduplicated through a hash-of-row index into the output arena,
-/// so every surviving row exists exactly once (the input arena is consumed
-/// and freed) — no key copies, halving the former peak memory. With
-/// `threads > 1` the scan is hash-partitioned: duplicates always land in the
-/// same partition, each partition keeps its first occurrences, and the kept
-/// row indices are merged back into input order.
+/// Row indices are scattered into hash partitions (with `threads > 1`):
+/// duplicates always land in the same partition, each partition keeps its
+/// first occurrences, and the kept row indices are merged back into input
+/// order before the survivors are copied out. The input arena is consumed
+/// and freed.
 pub fn distinct_rows(rows: RowSet, threads: usize) -> RowSet {
     let _span = metrics::span("distinct", Region::Distinct);
     let n = rows.num_rows();
     assert!(n <= MAX_ROWS, "row set too large");
     let t = effective_threads(threads, n);
-    if t <= 1 {
-        return distinct_serial(rows);
-    }
-    // Phase 1: hash each row once, scattering row indices into per-morsel
-    // partition buckets (duplicates share a hash, hence a partition;
-    // scatter order keeps buckets ascending).
+    // Phase 1: scatter row indices into per-morsel partition buckets
+    // (duplicates share a hash, hence a partition; scatter order keeps
+    // buckets ascending). One partition needs no hash.
+    let hasher = FxBuildHasher::default();
     let buckets = scatter_partitions(n, t, |r| {
-        let h = hash_row(rows.row(r));
-        ((h as usize) % t, (r as u32, h))
+        let part = if t > 1 {
+            (hasher.hash_one(rows.row(r)) as usize) % t
+        } else {
+            0
+        };
+        (part, r as u32)
     });
     // Phase 2: each partition keeps the first occurrence of the rows it
-    // owns, touching only its own buckets; kept lists are ascending and
-    // pairwise disjoint.
+    // owns; kept lists are ascending and pairwise disjoint.
     let kept: Vec<Vec<u32>> = map_partitions(t, |p| {
-        let mut seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        let mut kept = Vec::new();
-        for morsel in &buckets {
-            for &(r, h) in &morsel[p] {
-                let candidates = seen.entry(h).or_default();
-                if candidates
-                    .iter()
-                    .all(|&c| rows.row(c as usize) != rows.row(r as usize))
-                {
-                    candidates.push(r);
-                    kept.push(r);
-                }
-            }
-        }
-        kept
+        let mut seen: FxHashSet<&[Vid]> = FxHashSet::default();
+        buckets
+            .iter()
+            .flat_map(|morsel| &morsel[p])
+            .copied()
+            .filter(|&r| seen.insert(rows.row(r as usize)))
+            .collect()
     });
+    drop(buckets);
     let mut kept = kept.concat();
     kept.sort_unstable();
     // Phase 3: materialize the survivors, morsel-parallel, in input order.
@@ -589,76 +322,45 @@ pub fn distinct_rows(rows: RowSet, threads: usize) -> RowSet {
     merge(rows.arity(), parts)
 }
 
-fn distinct_serial(rows: RowSet) -> RowSet {
-    let mut seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    let mut out = RowSet::new(rows.arity());
-    for row in rows.iter() {
-        let candidates = seen.entry(hash_row(row)).or_default();
-        if candidates.iter().all(|&c| out.row(c as usize) != row) {
-            candidates.push(out.num_rows() as u32);
-            out.push_row_from(row);
-        }
-    }
-    out
-}
-
-/// Project a row set to the given column indices.
-pub fn project(rows: &RowSet, cols: &[usize]) -> RowSet {
-    let mut out = RowSet::with_row_capacity(cols.len(), rows.num_rows());
-    for row in rows.iter() {
-        out.push_row(cols.iter().map(|&c| row[c].clone()));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::{Column, Schema};
+    use crate::value::Value;
 
-    fn table(rows: &[(i64, i64)]) -> Table {
-        let mut t = Table::new(Schema::new(vec![Column::int("a"), Column::int("b")]));
-        for &(a, b) in rows {
-            t.push_row(vec![Value::int(a), Value::int(b)]).unwrap();
-        }
-        t
+    fn rows(pairs: &[(Vid, Vid)]) -> RowSet {
+        RowSet::from_rows(2, pairs.iter().map(|&(a, b)| [a, b]))
     }
 
-    fn rows(pairs: &[(i64, i64)]) -> RowSet {
-        RowSet::from_rows(
-            2,
-            pairs
-                .iter()
-                .map(|&(a, b)| vec![Value::int(a), Value::int(b)]),
-        )
+    fn join(l: &RowSet, lkey: usize, r: &RowSet, rkey: usize, threads: usize) -> RowSet {
+        let cols: Vec<usize> = (0..l.arity() + r.arity()).collect();
+        hash_join_project(l, lkey, r, rkey, &cols, threads)
     }
 
     #[test]
     fn scan_project_filters_and_projects() {
-        let t = table(&[(1, 10), (2, 20), (3, 30)]);
-        let out = scan_project(&t, &Predicate::Gt(0, Value::int(1)), &[1], 1);
-        assert_eq!(
-            out.to_vecs(),
-            vec![vec![Value::int(20)], vec![Value::int(30)]]
-        );
+        let mut t = Table::new(Schema::new(vec![Column::int("a"), Column::int("b")]));
+        let mut dict = Interner::new();
+        for (a, b) in [(1, 10), (2, 20), (3, 30)] {
+            let row = vec![Value::int(a), Value::int(b)];
+            for v in &row {
+                dict.acquire(v);
+            }
+            t.push_row(row).unwrap();
+        }
+        let out = scan_project(&t, &Predicate::Gt(0, Value::int(1)), &[1], 1, &dict);
+        let id = |v: i64| dict.lookup(&Value::int(v)).unwrap();
+        assert_eq!(out, RowSet::from_rows(1, [[id(20)], [id(30)]]));
     }
 
     #[test]
     fn hash_join_basic() {
         let l = rows(&[(1, 100), (2, 200), (3, 100)]);
         let r = rows(&[(100, 7), (100, 8), (300, 9)]);
-        let out = hash_join(&l, 1, &r, 0, 1);
+        let out = join(&l, 1, &r, 0, 1);
         // rows with b=100 match both r-rows with key 100
         assert_eq!(out.num_rows(), 4);
-        assert_eq!(
-            out.row(0),
-            &[
-                Value::int(1),
-                Value::int(100),
-                Value::int(100),
-                Value::int(7)
-            ]
-        );
+        assert_eq!(out.row(0), &[1, 100, 100, 7]);
     }
 
     #[test]
@@ -669,7 +371,7 @@ mod tests {
         // nested-loop emission order for every thread count and build side.
         let n = nested_loop_join(&l, 1, &r, 0);
         for threads in [1, 2, 8] {
-            assert_eq!(hash_join(&l, 1, &r, 0, threads), n);
+            assert_eq!(join(&l, 1, &r, 0, threads), n);
         }
     }
 
@@ -678,9 +380,9 @@ mod tests {
         // Asymmetric inputs in both directions: output must be identical.
         let small = rows(&[(1, 0), (2, 0), (7, 0)]);
         let big = rows(&(0..50).map(|i| (i % 5, i)).collect::<Vec<_>>());
-        let small_left = hash_join(&small, 0, &big, 0, 1);
+        let small_left = join(&small, 0, &big, 0, 1);
         assert_eq!(small_left, nested_loop_join(&small, 0, &big, 0));
-        let big_left = hash_join(&big, 0, &small, 0, 1);
+        let big_left = join(&big, 0, &small, 0, 1);
         assert_eq!(big_left, nested_loop_join(&big, 0, &small, 0));
     }
 
@@ -689,14 +391,14 @@ mod tests {
         let l = rows(&[(1, 100), (3, 100)]);
         let r = rows(&[(100, 7)]);
         let out = hash_join_project(&l, 1, &r, 0, &[0, 3], 1);
-        assert_eq!(out.to_vecs(), rows(&[(1, 7), (3, 7)]).to_vecs());
+        assert_eq!(out, rows(&[(1, 7), (3, 7)]));
     }
 
     #[test]
     fn nulls_never_join() {
-        let l = RowSet::from_rows(2, vec![vec![Value::int(1), Value::Null]]);
-        let r = RowSet::from_rows(2, vec![vec![Value::Null, Value::int(2)]]);
-        assert!(hash_join(&l, 1, &r, 0, 1).is_empty());
+        let l = rows(&[(1, NULL_VID)]);
+        let r = rows(&[(NULL_VID, 2)]);
+        assert!(join(&l, 1, &r, 0, 1).is_empty());
         assert!(nested_loop_join(&l, 1, &r, 0).is_empty());
     }
 
@@ -710,20 +412,13 @@ mod tests {
     }
 
     #[test]
-    fn project_reorders() {
-        let input = rows(&[(1, 2)]);
-        let out = project(&input, &[1, 0]);
-        assert_eq!(out, rows(&[(2, 1)]));
-    }
-
-    #[test]
     fn empty_inputs() {
         let e = RowSet::new(2);
         let r = rows(&[(1, 1)]);
-        assert!(hash_join(&e, 0, &r, 0, 4).is_empty());
-        assert!(hash_join(&r, 0, &e, 0, 4).is_empty());
+        assert!(join(&e, 0, &r, 0, 4).is_empty());
+        assert!(join(&r, 0, &e, 0, 4).is_empty());
         assert!(distinct_rows(RowSet::new(2), 4).is_empty());
-        let t = table(&[]);
-        assert!(scan_project(&t, &Predicate::True, &[0], 4).is_empty());
+        let t = Table::new(Schema::new(vec![Column::int("a")]));
+        assert!(scan_project(&t, &Predicate::True, &[0], 4, &Interner::new()).is_empty());
     }
 }

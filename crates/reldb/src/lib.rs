@@ -11,12 +11,20 @@
 //! * [`Schema`] / [`Table`] — column-oriented storage with append ingestion.
 //! * [`Database`] — the catalog: named tables plus per-column statistics
 //!   (row count, exact distinct count) used by the extraction planner.
-//! * [`RowSet`] — the flat value arena every operator consumes and
-//!   produces: one allocation per batch, rows addressed by index, no
-//!   per-row `Vec`s.
-//! * [`exec`] — physical operators: scan, filter, project, hash equi-join,
-//!   distinct; and [`query::Query`], a tiny logical plan ("the SQL we
-//!   generate") with a reference nested-loop implementation for testing.
+//! * [`Interner`] — the per-database dictionary mapping each distinct
+//!   [`Value`] to a dense `u32` [`Vid`] (NULL is [`NULL_VID`]).
+//! * [`RowSet`] — the flat arena of dictionary ids every operator consumes
+//!   and produces: one allocation per batch, rows addressed by index, four
+//!   bytes per cell.
+//! * [`exec`] — physical operators: filtered scan with projection, hash
+//!   equi-join with projection, distinct, and a reference nested-loop join
+//!   for testing; and [`query::Query`], a tiny logical plan ("the SQL we
+//!   generate").
+//!
+//! A chain query runs on dictionary ids from scan to output: the scan
+//! resolves each projected cell to its id once, joins and `DISTINCT` hash
+//! and compare `u32`s only, and [`query::Query::run_threaded`] builds its
+//! `(Value, Value)` pairs once, from the surviving output rows.
 //!
 //! Every operator takes a `threads` knob (morsel-parallel scans and join
 //! probes, hash-partitioned join builds and DISTINCT — std scoped threads)

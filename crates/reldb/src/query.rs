@@ -14,7 +14,7 @@
 
 use crate::catalog::Database;
 use crate::error::{DbError, DbResult};
-use crate::exec::{distinct_rows_interned, hash_join_project_interned, scan_project};
+use crate::exec::{distinct_rows, hash_join_project, scan_project};
 use crate::expr::Predicate;
 use crate::value::Value;
 
@@ -68,37 +68,44 @@ impl Query {
     /// `(X, Y)` pairs. This is the single `threads` knob of the extraction
     /// pipeline: every scan, join build/probe, and DISTINCT of the chain
     /// fans out over it, and the result is byte-identical for any value
-    /// (see [`crate::exec`] for the ordering guarantee).
+    /// (see [`crate::exec`] for the ordering guarantee). The chain runs on
+    /// dictionary ids from scan to output; values are built once, for the
+    /// returned pairs.
     pub fn run_threaded(&self, db: &Database, threads: usize) -> DbResult<Vec<(Value, Value)>> {
         if self.steps.is_empty() {
             return Err(DbError::Invalid("empty chain query".into()));
         }
+        let dict = db.dict();
         let first = &self.steps[0];
         let t0 = db.table(&first.table)?;
-        // rows carry (X, current-join-value)
-        let mut rows = scan_project(t0, &first.pred, &[first.in_col, first.out_col], threads);
+        // rows carry (X, current-join-value) as dictionary ids
+        let mut rows = scan_project(
+            t0,
+            &first.pred,
+            &[first.in_col, first.out_col],
+            threads,
+            dict,
+        );
         for step in &self.steps[1..] {
             let t = db.table(&step.table)?;
-            let right = scan_project(t, &step.pred, &[step.in_col, step.out_col], threads);
+            let right = scan_project(t, &step.pred, &[step.in_col, step.out_col], threads, dict);
             // Joined virtual row is [X, carry, in, out]; the fused
             // projection keeps (X, new-carry) without materializing the
-            // join columns at all. Every value here comes from a base
-            // table, so the join probes the database dictionary's dense
-            // ids instead of hashing owned values.
-            rows = hash_join_project_interned(&rows, 1, &right, 0, &[0, 3], threads, db.dict());
+            // join columns at all.
+            rows = hash_join_project(&rows, 1, &right, 0, &[0, 3], threads);
             // Intermediate DISTINCT keeps the frontier bounded by
             // |domain(X)| * |domain(carry)|; extraction only needs set
             // semantics so this is safe and usually a large win.
             if self.distinct {
-                rows = distinct_rows_interned(rows, threads, db.dict());
+                rows = distinct_rows(rows, threads);
             }
         }
         // Multi-step chains were already deduplicated by the loop's last
         // iteration; only single-table queries still need the final pass.
         if self.distinct && self.steps.len() == 1 {
-            rows = distinct_rows_interned(rows, threads, db.dict());
+            rows = distinct_rows(rows, threads);
         }
-        Ok(rows.into_pairs())
+        Ok(rows.into_pairs(dict))
     }
 
     /// Render the equivalent SQL text (for display / logging, mirroring the

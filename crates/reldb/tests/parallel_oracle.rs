@@ -1,59 +1,68 @@
 //! Seeded-random oracle tests for the parallel operators.
 //!
-//! Unlike `properties.rs` (which needs the external `proptest` crate and is
-//! feature-gated), these run in the tier-1 suite using `SplitMix64` seeds.
-//! They assert the operator contract of `reldb::exec`:
+//! These run in the tier-1 suite using `SplitMix64` seeds, on the id rows
+//! that chain queries actually execute (NULL is `NULL_VID`). They assert
+//! the operator contract of `reldb::exec`:
 //!
-//! * `hash_join` equals the `nested_loop_join` oracle **including row
-//!   order**, for every thread count and both build sides;
-//! * `scan_project` and `distinct_rows` are byte-identical across
+//! * `hash_join_project` equals the `nested_loop_join` oracle **including
+//!   row order**, for every thread count and both build sides;
+//! * `scan_project` over a registered table equals per-row
+//!   `Predicate::eval` mapped through the database dictionary, and
+//!   `scan_project` and `distinct_rows` are byte-identical across
 //!   1/2/8 threads;
 //! * NULL-heavy, skewed-key, empty, and size-asymmetric inputs are covered,
 //!   at sizes both below and above the serial-fallback threshold.
 
 use graphgen_common::parallel::MIN_PARALLEL_ITEMS;
 use graphgen_common::SplitMix64;
-use graphgen_reldb::exec::{
-    distinct_rows, hash_join, hash_join_project, nested_loop_join, scan_project,
-};
-use graphgen_reldb::{Column, Predicate, RowSet, Schema, Table, Value};
+use graphgen_reldb::exec::{distinct_rows, hash_join_project, nested_loop_join, scan_project};
+use graphgen_reldb::{Column, Database, Predicate, RowSet, Schema, Table, Value, Vid, NULL_VID};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
-/// Random arity-2 rows. `null_pct` percent of cells are NULL; with
+/// Random arity-2 cells. `null_pct` percent of cells are NULL; with
 /// `skew`, ~80% of key-column draws collapse onto a single hot value.
-fn random_rows(rng: &mut SplitMix64, n: usize, domain: u64, null_pct: u64, skew: bool) -> RowSet {
-    let mut out = RowSet::with_row_capacity(2, n);
-    for _ in 0..n {
-        let cell = |rng: &mut SplitMix64| {
-            if rng.next_below(100) < null_pct {
-                Value::Null
-            } else if skew && rng.next_below(100) < 80 {
-                Value::int(0)
-            } else {
-                Value::int(rng.next_below(domain) as i64)
-            }
-        };
-        let a = cell(rng);
-        let b = cell(rng);
-        out.push_row([a, b]);
-    }
-    out
+/// Non-NULL cells are drawn from `0..domain`.
+fn random_cells(
+    rng: &mut SplitMix64,
+    n: usize,
+    domain: u64,
+    null_pct: u64,
+    skew: bool,
+) -> Vec<[Option<u64>; 2]> {
+    let cell = |rng: &mut SplitMix64| {
+        if rng.next_below(100) < null_pct {
+            None
+        } else if skew && rng.next_below(100) < 80 {
+            Some(0)
+        } else {
+            Some(rng.next_below(domain))
+        }
+    };
+    (0..n).map(|_| [cell(rng), cell(rng)]).collect()
 }
 
-fn table_from(rows: &RowSet) -> Table {
-    let mut t = Table::new(Schema::new(vec![Column::int("a"), Column::int("b")]));
-    for row in rows.iter() {
-        t.push_row(row.to_vec()).unwrap();
-    }
-    t
+/// Random id rows: a non-NULL cell `x` is id `x + 1`, NULL is `NULL_VID`.
+fn random_rows(rng: &mut SplitMix64, n: usize, domain: u64, null_pct: u64, skew: bool) -> RowSet {
+    let id = |c: Option<u64>| c.map_or(NULL_VID, |x| x as Vid + 1);
+    RowSet::from_rows(
+        2,
+        random_cells(rng, n, domain, null_pct, skew)
+            .into_iter()
+            .map(|row| row.map(id)),
+    )
+}
+
+fn join(l: &RowSet, lk: usize, r: &RowSet, rk: usize, threads: usize) -> RowSet {
+    let cols: Vec<usize> = (0..l.arity() + r.arity()).collect();
+    hash_join_project(l, lk, r, rk, &cols, threads)
 }
 
 fn check_join(l: &RowSet, r: &RowSet, label: &str) {
     for (lk, rk) in [(0usize, 0usize), (0, 1), (1, 0), (1, 1)] {
         let oracle = nested_loop_join(l, lk, r, rk);
         for threads in THREADS {
-            let h = hash_join(l, lk, r, rk, threads);
+            let h = join(l, lk, r, rk, threads);
             assert_eq!(
                 h, oracle,
                 "{label}: join keys ({lk},{rk}) at {threads} threads"
@@ -66,15 +75,15 @@ fn check_join(l: &RowSet, r: &RowSet, label: &str) {
 /// oracle on one key pair, serial-vs-parallel byte-equality on all pairs.
 fn check_join_large(l: &RowSet, r: &RowSet, label: &str) {
     assert_eq!(
-        hash_join(l, 0, r, 1, 1),
+        join(l, 0, r, 1, 1),
         nested_loop_join(l, 0, r, 1),
         "{label}: serial vs oracle"
     );
     for (lk, rk) in [(0usize, 0usize), (0, 1), (1, 0), (1, 1)] {
-        let serial = hash_join(l, lk, r, rk, 1);
+        let serial = join(l, lk, r, rk, 1);
         for threads in [2usize, 8] {
             assert_eq!(
-                hash_join(l, lk, r, rk, threads),
+                join(l, lk, r, rk, threads),
                 serial,
                 "{label}: join keys ({lk},{rk}) at {threads} threads"
             );
@@ -134,7 +143,7 @@ fn fused_projection_matches_join_then_project() {
     let l = random_rows(&mut rng, 500, 12, 10, false);
     let r = random_rows(&mut rng, 800, 12, 10, false);
     let full = nested_loop_join(&l, 1, &r, 0);
-    let projected = graphgen_reldb::exec::project(&full, &[0, 3]);
+    let projected = RowSet::from_rows(2, full.iter().map(|row| [row[0], row[3]]));
     for threads in THREADS {
         assert_eq!(
             hash_join_project(&l, 1, &r, 0, &[0, 3], threads),
@@ -148,27 +157,36 @@ fn fused_projection_matches_join_then_project() {
 fn scan_project_parallel_is_byte_identical() {
     let mut rng = SplitMix64::new(0x5CA9);
     for n in [0usize, 33, MIN_PARALLEL_ITEMS * 3] {
-        let rows = random_rows(&mut rng, n, 30, 25, false);
-        let t = table_from(&rows);
+        let mut t = Table::new(Schema::new(vec![Column::int("a"), Column::int("b")]));
+        for row in random_cells(&mut rng, n, 30, 25, false) {
+            let value = |c: Option<u64>| c.map_or(Value::Null, |x| Value::int(x as i64));
+            t.push_row(row.map(value).to_vec()).unwrap();
+        }
+        // Tombstone every 5th row: the scan must skip dead rows.
+        let dead: Vec<Vec<Value>> = t.iter_rows().step_by(5).collect();
+        let mut db = Database::new();
+        db.register("t", t).unwrap();
+        db.delete_rows("t", &dead).unwrap();
+        let (t, dict) = (db.table("t").unwrap(), db.dict());
         for pred in [
             Predicate::True,
             Predicate::Lt(0, Value::int(15)),
             Predicate::Eq(1, Value::Null),
             Predicate::Gt(0, Value::int(5)).and(Predicate::Ne(1, Value::int(2))),
         ] {
-            let serial = scan_project(&t, &pred, &[1, 0], 1);
-            // Oracle: per-row eval + manual projection.
+            let serial = scan_project(t, &pred, &[1, 0], 1, dict);
+            // Oracle: per-row eval + manual projection through the
+            // dictionary.
             let mut expected = RowSet::new(2);
-            for r in 0..t.num_rows() {
-                let row = t.row(r);
+            for row in t.iter_rows() {
                 if pred.eval(&row) {
-                    expected.push_row([row[1].clone(), row[0].clone()]);
+                    expected.push_row([&row[1], &row[0]].map(|v| dict.lookup(v).unwrap()));
                 }
             }
             assert_eq!(serial, expected, "{pred:?} serial vs oracle");
             for threads in THREADS {
                 assert_eq!(
-                    scan_project(&t, &pred, &[1, 0], threads),
+                    scan_project(t, &pred, &[1, 0], threads, dict),
                     serial,
                     "{pred:?} at {threads} threads"
                 );
